@@ -23,13 +23,9 @@
 //! * `--timeout SECS` — wall-clock budget. On expiry the run prints
 //!   `unknown (deadline exceeded)` and exits with code 3; it never
 //!   reports a wrong verdict or panics.
-//! * `--strategy fresh|session|parallel|portfolio` — how the solver
-//!   oracle discharges queries: re-ground per query, reuse frame-cached
-//!   incremental sessions (the default), fan out fresh queries over
-//!   worker threads, or race diversified SAT solvers inside each query.
-//! * `--jobs N` — worker threads for the parallel strategy, or racing
-//!   solver threads for the portfolio strategy (implies
-//!   `--strategy parallel` when given alone).
+//! * `--strategy fresh|session` — how the solver oracle discharges
+//!   queries: re-ground per query (the reference), or reuse frame-cached
+//!   incremental sessions (the default).
 //! * `--bound N` — bounded quantifier instantiation: ground terms are
 //!   built only to nesting depth N, which admits models *outside* the
 //!   EPR fragment (unstratified functions, `∀∃` alternations). UNSAT
@@ -45,7 +41,8 @@
 //!
 //! Every command routes its queries through ONE shared [`Oracle`]
 //! configured by these flags, so e.g. `prove` and the CTI minimization it
-//! may trigger reuse the same frame-keyed session cache.
+//! may trigger reuse the same frame-keyed session cache. Any other
+//! `--flag` a command does not read is a usage error (exit code 2).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -84,17 +81,6 @@ fn main() -> ExitCode {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
-    let jobs_flag = match take_flag(&mut args, "--jobs") {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    let jobs = match jobs_flag.as_deref().map(str::parse) {
-        None => None,
-        Some(Ok(n)) if n >= 1 => Some(n),
-        Some(_) => {
-            return usage_error("--jobs expects a positive integer");
-        }
-    };
     let bound_flag = match take_flag(&mut args, "--bound") {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
@@ -107,25 +93,12 @@ fn main() -> ExitCode {
         }
     };
     let strategy = match strategy_flag.as_deref() {
-        None => match jobs {
-            Some(n) => QueryStrategy::Parallel(n),
-            None => QueryStrategy::Session,
-        },
-        Some("fresh") if jobs.is_none() => QueryStrategy::Fresh,
-        Some("session") if jobs.is_none() => QueryStrategy::Session,
-        Some("parallel") => QueryStrategy::Parallel(jobs.unwrap_or_else(default_jobs)),
-        Some("portfolio") => QueryStrategy::Portfolio(jobs.unwrap_or_else(default_jobs).max(2)),
-        Some(other @ ("fresh" | "session")) => {
-            eprintln!(
-                "error: --jobs is only meaningful with --strategy parallel or portfolio,                  not `{other}`"
-            );
-            return ExitCode::from(2);
-        }
+        None | Some("session") => QueryStrategy::Session,
+        Some("fresh") => QueryStrategy::Fresh,
         Some(other) => {
-            eprintln!(
-                "error: unknown --strategy `{other}` (expected fresh|session|parallel|portfolio)"
-            );
-            return ExitCode::from(2);
+            return usage_error(&format!(
+                "unknown --strategy `{other}` (expected fresh|session)"
+            ));
         }
     };
     // The daemon and its thin driver bypass the one-shot oracle path:
@@ -186,14 +159,6 @@ fn main() -> ExitCode {
     code
 }
 
-/// Worker-thread default for `--strategy parallel|portfolio` without
-/// `--jobs`.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 /// Removes `flag VALUE` from `args`, returning the value when present.
 /// A repeated flag or a flag missing its value is a usage error — silently
 /// picking one value (or reparsing the flag as a positional argument)
@@ -246,8 +211,7 @@ fn write_profile(
 fn usage() -> Result<(ExitCode, &'static str), Box<dyn std::error::Error>> {
     eprintln!(
         "usage: ivy <check|bmc|kinv|prove|cti|dot|houdini|infer|serve|client> MODEL.rml [args] \
-         [--timeout SECS] [--strategy fresh|session|parallel|portfolio] [--jobs N] \
-         [--bound N] [--profile OUT.json]\n\
+         [--timeout SECS] [--strategy fresh|session] [--bound N] [--profile OUT.json]\n\
          ivy serve  --listen ADDR | --socket PATH [--workers N] [--queue N] \
          [--max-timeout SECS] [--max-instances N]\n\
          ivy client --connect ADDR|unix:PATH <prove|bmc|houdini|infer|generalize|status|shutdown> \
@@ -346,6 +310,16 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The `--flags` a one-shot command reads from its own arguments (global
+/// flags are taken out before dispatch).
+fn command_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "houdini" => &["--vars", "--lits"],
+        "infer" => &["--vars", "--lits", "--literals", "--no-constants"],
+        _ => &[],
+    }
+}
+
 fn run(
     args: &[String],
     oracle: &Arc<Oracle>,
@@ -360,6 +334,15 @@ fn run(
         if a.len() > 1 && a.starts_with('-') && rest[i + 1..].contains(a) {
             return Err(format!("{a} given more than once").into());
         }
+    }
+    // A flag the command does not read is a typo or a removed option;
+    // ignoring it would run a different check than the caller asked for.
+    if let Some(flag) = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !command_flags(cmd).contains(&a.as_str()))
+    {
+        eprintln!("error: `{cmd}` does not take {flag}");
+        return usage();
     }
     let Some(model_path) = rest.first() else {
         return usage();
@@ -683,6 +666,9 @@ fn client_inner(
     let max_instances = take_flag(&mut rest, "--max-instances")?
         .map(|s| s.parse::<u64>())
         .transpose()?;
+    if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("client does not take {flag}").into());
+    }
     let (cmd, cargs) = rest
         .split_first()
         .ok_or("client needs a command: prove|bmc|houdini|infer|generalize|status|shutdown")?;

@@ -1,5 +1,5 @@
-//! The unified solver oracle: one frame-cached, strategy-aware query
-//! layer under every proof engine.
+//! The unified solver oracle: one frame-cached query layer under every
+//! proof engine.
 //!
 //! Every engine in this crate — inductiveness checking ([`crate::vc`]),
 //! bounded verification ([`crate::bmc`]), Houdini ([`mod@crate::houdini`]),
@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex};
 
 use ivy_epr::{
     frame_fingerprint, frame_fingerprint_with_mode, Budget, EprCheck, EprError, EprOutcome,
-    EprSession, GroupId, InstantiationMode, Model, SolverConfig, DEFAULT_INSTANCE_LIMIT,
+    EprSession, GroupId, InstantiationMode, Model, DEFAULT_INSTANCE_LIMIT,
 };
 use ivy_fol::intern::FormulaId;
 use ivy_fol::Signature;
@@ -70,15 +70,16 @@ pub(crate) fn sat_model(outcome: EprOutcome) -> Result<Option<Model>, EprError> 
     }
 }
 
-/// How an [`Oracle`] discharges its families of per-goal queries.
+/// How an [`Oracle`] discharges its queries.
 ///
-/// All three strategies return the same verdict and report the same
-/// first-found witness (the one with the lowest goal index); only the
-/// witnessing model may differ, as SAT models are not unique.
+/// Both strategies return the same verdict and report the same first-found
+/// witness (the one with the lowest goal index); only the witnessing model
+/// may differ, as SAT models are not unique.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum QueryStrategy {
     /// One fresh [`EprCheck`] per query: the frame is re-grounded and
-    /// re-encoded every time. The reference implementation.
+    /// re-encoded every time. The reference implementation that the
+    /// differential tests compare [`QueryStrategy::Session`] against.
     Fresh,
     /// Incremental [`EprSession`]s, pooled by frame fingerprint: the frame
     /// is grounded once and each goal runs as an assumption-guarded group
@@ -86,18 +87,6 @@ pub enum QueryStrategy {
     /// axioms across queries — and across engines. The default.
     #[default]
     Session,
-    /// Fresh per-query checks fanned out over (up to) the given number of
-    /// worker threads, in waves. Deterministic: each wave's results are
-    /// inspected in goal order, so the lowest-index witness wins regardless
-    /// of thread timing.
-    Parallel(usize),
-    /// Pooled incremental sessions (like [`QueryStrategy::Session`]) whose
-    /// SAT queries each race the given number of diversified solver threads
-    /// *inside* the query, sharing glue clauses (see
-    /// [`ivy_epr::SolverConfig::portfolio`]). Verdicts are identical to the
-    /// sequential strategies; only witnesses/cores may differ, within their
-    /// usual nondeterminism.
-    Portfolio(usize),
 }
 
 /// The persistent part of a query family: a signature plus an ordered list
@@ -227,7 +216,6 @@ pub struct Oracle {
     budget: Budget,
     instance_limit: u64,
     lazy_round_limit: Option<usize>,
-    solver_config: SolverConfig,
     shared: Arc<OracleShared>,
 }
 
@@ -239,7 +227,6 @@ impl Clone for Oracle {
             budget: self.budget,
             instance_limit: self.instance_limit,
             lazy_round_limit: self.lazy_round_limit,
-            solver_config: self.solver_config,
             shared: Arc::clone(&self.shared),
         }
     }
@@ -273,7 +260,6 @@ impl Oracle {
             budget: Budget::UNLIMITED,
             instance_limit: DEFAULT_INSTANCE_LIMIT,
             lazy_round_limit: None,
-            solver_config: SolverConfig::default(),
             shared: Arc::new(OracleShared::new()),
         }
     }
@@ -369,46 +355,13 @@ impl Oracle {
         self.lazy_round_limit = limit;
     }
 
-    /// Sets the SAT solver configuration (CDCL feature toggles) applied to
-    /// every query. The portfolio fan-out is governed by the strategy:
-    /// [`QueryStrategy::Portfolio`] overrides
-    /// [`ivy_epr::SolverConfig::portfolio`] with its thread count, and every
-    /// other strategy forces it to 0 (sequential).
-    pub fn set_solver_config(&mut self, config: SolverConfig) {
-        self.solver_config = config;
-    }
-
-    /// The configured solver feature toggles (before the strategy's
-    /// portfolio override).
-    pub fn solver_config(&self) -> SolverConfig {
-        self.solver_config
-    }
-
-    /// The solver configuration actually handed to sessions and checks:
-    /// the configured toggles with the portfolio fan-out derived from the
-    /// strategy.
-    fn effective_solver_config(&self) -> SolverConfig {
-        let mut config = self.solver_config;
-        config.portfolio = match self.strategy {
-            QueryStrategy::Portfolio(n) => n.max(2),
-            _ => 0,
-        };
-        config
-    }
-
     /// Discharges one `frame ∧ goal` query under the active strategy.
     ///
     /// # Errors
     ///
     /// Propagates [`EprError`].
     pub fn solve(&self, frame: &Frame, goal: &Goal) -> Result<EprOutcome, EprError> {
-        let result = match self.strategy {
-            QueryStrategy::Session | QueryStrategy::Portfolio(_) => {
-                self.open(frame)?.solve_goal(goal)
-            }
-            _ => self.fresh_goal(frame, goal),
-        };
-        result.map_err(|e| self.soften(e))
+        self.open(frame)?.solve_goal(goal)
     }
 
     /// In bounded mode every resource refusal is best-effort by contract:
@@ -428,11 +381,9 @@ impl Oracle {
         }
     }
 
-    /// Discharges the query family `frame ∧ goal(0..count)` and returns the
-    /// lowest-index satisfiable goal's witness, or `None` when every goal is
-    /// unsatisfiable. Under [`QueryStrategy::Parallel`] the goals fan out
-    /// over worker threads in waves; the result is deterministic (lowest
-    /// index wins).
+    /// Discharges the query family `frame ∧ goal(0..count)` in goal order
+    /// on one handle and returns the lowest-index satisfiable goal's
+    /// witness, or `None` when every goal is unsatisfiable.
     ///
     /// # Errors
     ///
@@ -446,33 +397,16 @@ impl Oracle {
         witness: W,
     ) -> Result<Option<T>, EprError>
     where
-        T: Send,
-        G: Fn(usize) -> Goal + Sync,
-        W: Fn(usize, &Model) -> T + Sync,
+        G: Fn(usize) -> Goal,
+        W: Fn(usize, &Model) -> T,
     {
-        let result = match self.strategy {
-            QueryStrategy::Parallel(threads) => parallel_first(threads, count, |i| {
-                Ok(sat_model(self.fresh_goal(frame, &goal(i))?)?.map(|m| witness(i, &m)))
-            }),
-            QueryStrategy::Session | QueryStrategy::Portfolio(_) => (|| {
-                let mut h = self.open(frame)?;
-                for i in 0..count {
-                    if let Some(m) = sat_model(h.solve_goal(&goal(i))?)? {
-                        return Ok(Some(witness(i, &m)));
-                    }
-                }
-                Ok(None)
-            })(),
-            QueryStrategy::Fresh => (|| {
-                for i in 0..count {
-                    if let Some(m) = sat_model(self.fresh_goal(frame, &goal(i))?)? {
-                        return Ok(Some(witness(i, &m)));
-                    }
-                }
-                Ok(None)
-            })(),
-        };
-        result.map_err(|e| self.soften(e))
+        let mut h = self.open(frame)?;
+        for i in 0..count {
+            if let Some(m) = sat_model(h.solve_goal(&goal(i))?)? {
+                return Ok(Some(witness(i, &m)));
+            }
+        }
+        Ok(None)
     }
 
     /// Like [`Oracle::first_sat`], but each query may probe a *different*
@@ -490,26 +424,16 @@ impl Oracle {
         witness: W,
     ) -> Result<Option<T>, EprError>
     where
-        T: Send,
-        P: Fn(usize) -> (&'f Frame, Goal) + Sync,
-        W: Fn(usize, &Model) -> T + Sync,
+        P: Fn(usize) -> (&'f Frame, Goal),
+        W: Fn(usize, &Model) -> T,
     {
-        let result = match self.strategy {
-            QueryStrategy::Parallel(threads) => parallel_first(threads, count, |i| {
-                let (frame, goal) = probe(i);
-                Ok(sat_model(self.fresh_goal(frame, &goal)?)?.map(|m| witness(i, &m)))
-            }),
-            _ => (|| {
-                for i in 0..count {
-                    let (frame, goal) = probe(i);
-                    if let Some(m) = sat_model(self.solve(frame, &goal)?)? {
-                        return Ok(Some(witness(i, &m)));
-                    }
-                }
-                Ok(None)
-            })(),
-        };
-        result.map_err(|e| self.soften(e))
+        for i in 0..count {
+            let (frame, goal) = probe(i);
+            if let Some(m) = sat_model(self.solve(frame, &goal)?)? {
+                return Ok(Some(witness(i, &m)));
+            }
+        }
+        Ok(None)
     }
 
     /// Opens a handle for a *stateful* query family over one frame: the
@@ -526,7 +450,7 @@ impl Oracle {
         let key = frame.fingerprint_with_mode(self.mode);
         let live = match self.strategy {
             QueryStrategy::Fresh => None,
-            _ => {
+            QueryStrategy::Session => {
                 let (session, reused) = self.checkout(frame, key).map_err(|e| self.soften(e))?;
                 Some(LiveState {
                     session,
@@ -557,14 +481,9 @@ impl Oracle {
         self.shared.pool.lock().unwrap().clear();
     }
 
-    /// One fresh `EprCheck` for `frame ∧ goal` with the oracle's limits.
-    fn fresh_goal(&self, frame: &Frame, goal: &Goal) -> Result<EprOutcome, EprError> {
-        self.fresh_outcome(frame, &[], goal, self.lazy_round_limit)
-    }
-
     /// One fresh `EprCheck` over the frame, a handle's live groups, and a
-    /// goal — the re-grounding reference path shared by
-    /// [`QueryStrategy::Fresh`] queries and fresh [`FrameSession`] handles.
+    /// goal — the re-grounding reference path of [`QueryStrategy::Fresh`]
+    /// handles.
     fn fresh_outcome(
         &self,
         frame: &Frame,
@@ -576,7 +495,6 @@ impl Oracle {
         q.set_instance_limit(self.instance_limit);
         q.set_budget(self.budget);
         q.set_lazy_round_limit(round_limit);
-        q.set_solver_config(self.effective_solver_config());
         for (label, id) in frame.asserts() {
             q.assert_id(label.clone(), *id)?;
         }
@@ -613,7 +531,6 @@ impl Oracle {
                 s.set_budget(self.budget);
                 s.set_instance_limit(self.instance_limit);
                 s.set_lazy_round_limit(self.lazy_round_limit);
-                s.set_solver_config(self.effective_solver_config());
                 self.note_checkout(true);
                 Ok((s, true))
             }
@@ -639,7 +556,6 @@ impl Oracle {
         s.set_instance_limit(self.instance_limit);
         s.set_budget(self.budget);
         s.set_lazy_round_limit(round_limit);
-        s.set_solver_config(self.effective_solver_config());
         for (label, id) in frame.asserts() {
             s.assert_id(label.clone(), *id)?;
         }
@@ -918,39 +834,6 @@ impl Drop for FrameSession<'_> {
     }
 }
 
-/// Runs `count` independent queries across up to `threads` scoped worker
-/// threads, in waves. Both results and errors are inspected in index order,
-/// so the outcome (the lowest-index witness, or the lowest-index error) is
-/// deterministic regardless of thread scheduling.
-fn parallel_first<T, F>(threads: usize, count: usize, query: F) -> Result<Option<T>, EprError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<Option<T>, EprError> + Sync,
-{
-    let threads = threads.max(1);
-    let mut start = 0;
-    while start < count {
-        let end = usize::min(start + threads, count);
-        let wave: Vec<Result<Option<T>, EprError>> = std::thread::scope(|scope| {
-            let query = &query;
-            let handles: Vec<_> = (start..end)
-                .map(|i| scope.spawn(move || query(i)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query thread panicked"))
-                .collect()
-        });
-        for result in wave {
-            if let Some(found) = result? {
-                return Ok(Some(found));
-            }
-        }
-        start = end;
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,12 +876,7 @@ mod tests {
         frame.push("base", fid("forall X:s. r(X)"));
         let sat_goal = Goal::new("g", fid("r(a)"));
         let unsat_goal = Goal::new("g", fid("exists X:s. ~r(X)"));
-        for strategy in [
-            QueryStrategy::Fresh,
-            QueryStrategy::Session,
-            QueryStrategy::Parallel(2),
-            QueryStrategy::Portfolio(2),
-        ] {
+        for strategy in [QueryStrategy::Fresh, QueryStrategy::Session] {
             let mut oracle = Oracle::new();
             oracle.set_strategy(strategy);
             assert!(
@@ -1075,32 +953,6 @@ mod tests {
         // A light handle is pooled and reused.
         drop(oracle.open(&frame).unwrap());
         assert_eq!(oracle.rollup().sessions_built, 2);
-    }
-
-    #[test]
-    fn portfolio_strategy_pools_sessions_and_overrides_fanout() {
-        let sig = sig();
-        let mut frame = Frame::new(&sig);
-        frame.push("base", fid("forall X:s. r(X)"));
-        let mut oracle = Oracle::new();
-        oracle.set_strategy(QueryStrategy::Portfolio(3));
-        assert_eq!(oracle.effective_solver_config().portfolio, 3);
-        // Any sequential strategy forces the fan-out back to 0, even when
-        // the configured toggles request one.
-        let mut config = oracle.solver_config();
-        config.portfolio = 8;
-        oracle.set_solver_config(config);
-        oracle.set_strategy(QueryStrategy::Session);
-        assert_eq!(oracle.effective_solver_config().portfolio, 0);
-        oracle.set_strategy(QueryStrategy::Portfolio(4));
-        assert_eq!(oracle.effective_solver_config().portfolio, 4);
-        // Portfolio pools sessions by frame fingerprint, like Session.
-        let goal = Goal::new("g", fid("r(a)"));
-        oracle.solve(&frame, &goal).unwrap();
-        oracle.solve(&frame, &goal).unwrap();
-        let rollup = oracle.rollup();
-        assert_eq!(rollup.sessions_built, 1);
-        assert_eq!(rollup.frame_hits, 1);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! # Determinism
 //!
 //! Arena ids depend on global intern order, which depends on thread timing
-//! under `QueryStrategy::Parallel`. Nothing user-visible may therefore
+//! whenever several threads intern at once (the `ivy serve` worker pool,
+//! multi-threaded tests). Nothing user-visible may therefore
 //! depend on *id order*: iteration that affects output must run over
 //! name-ordered (`Sym`-keyed) structures or follow formula structure, never
 //! over id-keyed maps. All code in this module observes that rule.

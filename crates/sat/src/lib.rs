@@ -38,4 +38,4 @@ pub use cnf::Cnf;
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsError};
 pub use dpll::{solve_brute_force, solve_dpll};
 pub use lit::{LBool, Lit, Var};
-pub use solver::{Interrupt, SolveResult, Solver, SolverConfig, Stats};
+pub use solver::{Interrupt, SolveResult, Solver, Stats};

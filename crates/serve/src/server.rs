@@ -13,7 +13,7 @@
 //! or Unix-socket listener with one thread per connection.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -640,14 +640,8 @@ impl Server {
         match listener {
             Listener::Tcp(l) => {
                 l.set_nonblocking(true)?;
-                self.accept_loop(|| match l.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
-                        Some(Ok(Box::new(stream) as Box<dyn Conn>))
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) => Some(Err(e)),
+                self.accept_loop(|| {
+                    accept_tcp(&l).map(|r| r.map(|stream| Box::new(stream) as Box<dyn Conn>))
                 })
             }
             #[cfg(unix)]
@@ -875,5 +869,49 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
         format!("engine panicked: {s}")
     } else {
         "engine panicked".to_string()
+    }
+}
+
+/// Accepts one pending connection on a non-blocking TCP listener and
+/// readies it for the line protocol: blocking reads that wake every
+/// [`POLL_INTERVAL`], and `TCP_NODELAY`, so a response line is sent at
+/// once instead of waiting for the client to acknowledge the previous one
+/// (a delayed ACK holds it back for up to 40 ms). `None` when no
+/// connection is pending.
+fn accept_tcp(l: &TcpListener) -> Option<io::Result<TcpStream>> {
+    match l.accept() {
+        Ok((stream, _)) => {
+            stream.set_nonblocking(false).ok();
+            stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
+            stream.set_nodelay(true).ok();
+            Some(Ok(stream))
+        }
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
+        Err(e) => Some(Err(e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_tcp_streams_disable_nagle() {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.set_nonblocking(true).unwrap();
+        assert!(accept_tcp(&l).is_none(), "nothing is pending yet");
+        let _client = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let stream = loop {
+            if let Some(accepted) = accept_tcp(&l) {
+                break accepted.unwrap();
+            }
+            assert!(Instant::now() < deadline, "connection never arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(stream.nodelay().unwrap());
+        // The kernel rounds the timeout to its clock tick, so only its
+        // presence is exact.
+        assert!(stream.read_timeout().unwrap().is_some());
     }
 }

